@@ -167,66 +167,17 @@ BENCHMARK(BM_SoupStepSharded)
     ->Args({100000, 16})
     ->Unit(benchmark::kMillisecond);
 
-void BM_SoupStepScatter(benchmark::State& state) {
-  // A/B of the forward-loop scatter strategies (results are bit-identical,
-  // so the delta is pure execution cost): 0=direct pushes, 1=single-level
-  // WC staging (line-batched flushes, non-temporal when
-  // CHURNSTORE_NT_STORES is on), 2=two-level run demux. Auto picks by page
-  // count; these rows force each mode at a size whose page table makes the
-  // choice non-trivial (n=16384 -> 64 destination pages).
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto mode = static_cast<ScatterMode>(
-      static_cast<std::uint8_t>(state.range(1) + 1));  // skip kAuto
-  SimConfig cfg;
-  cfg.n = n;
-  cfg.seed = 3;
-  cfg.churn.kind = AdversaryKind::kUniform;
-  cfg.churn.k = 1.5;
-  cfg.churn.multiplier = 0.5;
-  Network net(cfg);
-  WalkConfig wc;
-  wc.scatter = mode;
-  TokenSoup soup(net, wc);
-  for (std::uint32_t i = 0; i < 2 * soup.tau(); ++i) {
-    net.begin_round();
-    soup.step();
-    net.deliver();
-  }
-  for (auto _ : state) {
-    net.begin_round();
-    soup.step();
-    net.deliver();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(soup.tokens_alive()));
-}
-BENCHMARK(BM_SoupStepScatter)
-    ->Args({16384, 0})
-    ->Args({16384, 1})
-    ->Args({16384, 2})
-    ->Unit(benchmark::kMillisecond);
-
 /// --- walk-forward inner loop, isolated ------------------------------------
 /// The exact per-token work of TokenSoup phase 1 (read token, decrement the
 /// hop counter, pick a uniform neighbor, stage the handoff) over a synthetic
-/// soup, in the three designs the hot-loop rework chose between:
-///   AosPerToken  — 16-byte array-of-structs tokens, one next_below per token
-///                  (the pre-rework layout and draw pattern)
-///   SoaPerToken  — flat SoA columns (8-byte src + 2-byte packed meta),
-///                  still one next_below per token
-///   SoaBatched   — SoA columns plus stream_fill_below: the whole per-vertex
-///                  draw batch is generated up front and neighbors are
-///                  gathered off the buffer (the shipped design)
-/// items/sec is tokens forwarded per second; compare the three rates.
+/// soup, in the shipped design: flat SoA columns (8-byte src + 2-byte packed
+/// meta) plus stream_fill_below, which generates the whole per-vertex draw
+/// batch up front so neighbors are gathered off the buffer. items/sec is
+/// tokens forwarded per second.
 
 constexpr std::uint32_t kWalkV = 4096;  ///< vertices
 constexpr std::uint32_t kWalkK = 24;    ///< tokens per vertex
 constexpr std::uint32_t kWalkD = 16;    ///< degree
-
-struct WalkAosToken {
-  std::uint64_t src;
-  std::uint16_t meta;
-};  // padded to 16 bytes, like the pre-rework Token
 
 std::vector<Vertex> walk_neighbor_table() {
   std::vector<Vertex> nbr(static_cast<std::size_t>(kWalkV) * kWalkD);
@@ -234,69 +185,6 @@ std::vector<Vertex> walk_neighbor_table() {
   for (auto& u : nbr) u = static_cast<Vertex>(rng.next_below(kWalkV));
   return nbr;
 }
-
-void BM_WalkInnerAosPerToken(benchmark::State& state) {
-  const std::vector<Vertex> nbr = walk_neighbor_table();
-  std::vector<WalkAosToken> q(static_cast<std::size_t>(kWalkV) * kWalkK);
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    q[i] = WalkAosToken{i, static_cast<std::uint16_t>(40)};
-  }
-  struct Staged {
-    std::uint64_t src;
-    Vertex dst;
-    std::uint16_t meta;
-  };
-  std::vector<Staged> out(q.size());
-  std::uint64_t key = 1;
-  for (auto _ : state) {
-    Staged* o = out.data();
-    for (Vertex v = 0; v < kWalkV; ++v) {
-      Rng rng = stream_rng(key, v);
-      const Vertex* row = nbr.data() + static_cast<std::size_t>(v) * kWalkD;
-      const WalkAosToken* t = q.data() + static_cast<std::size_t>(v) * kWalkK;
-      for (std::uint32_t j = 0; j < kWalkK; ++j) {
-        const Vertex u = row[rng.next_below(kWalkD)];
-        *o++ = Staged{t[j].src, u, static_cast<std::uint16_t>(t[j].meta - 2)};
-      }
-    }
-    benchmark::DoNotOptimize(out.data());
-    ++key;  // fresh streams each iteration, as rounds do
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(q.size()));
-}
-BENCHMARK(BM_WalkInnerAosPerToken);
-
-void BM_WalkInnerSoaPerToken(benchmark::State& state) {
-  const std::vector<Vertex> nbr = walk_neighbor_table();
-  const std::size_t total = static_cast<std::size_t>(kWalkV) * kWalkK;
-  std::vector<std::uint64_t> qsrc(total);
-  std::vector<std::uint16_t> qmeta(total, 40);
-  for (std::size_t i = 0; i < total; ++i) qsrc[i] = i;
-  std::vector<std::uint64_t> osrc(total);
-  std::vector<Vertex> odst(total);
-  std::vector<std::uint16_t> ometa(total);
-  std::uint64_t key = 1;
-  for (auto _ : state) {
-    std::size_t w = 0;
-    for (Vertex v = 0; v < kWalkV; ++v) {
-      Rng rng = stream_rng(key, v);
-      const Vertex* row = nbr.data() + static_cast<std::size_t>(v) * kWalkD;
-      const std::size_t base = static_cast<std::size_t>(v) * kWalkK;
-      for (std::uint32_t j = 0; j < kWalkK; ++j, ++w) {
-        osrc[w] = qsrc[base + j];
-        odst[w] = row[rng.next_below(kWalkD)];
-        ometa[w] = static_cast<std::uint16_t>(qmeta[base + j] - 2);
-      }
-    }
-    benchmark::DoNotOptimize(osrc.data());
-    benchmark::DoNotOptimize(odst.data());
-    ++key;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(total));
-}
-BENCHMARK(BM_WalkInnerSoaPerToken);
 
 void BM_WalkInnerSoaBatched(benchmark::State& state) {
   const std::vector<Vertex> nbr = walk_neighbor_table();

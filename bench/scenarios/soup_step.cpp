@@ -9,10 +9,8 @@
 //   bench_driver --scenario=soup_step n=100000 shard-sweep=1,4,16
 //
 // Keys: shard-sweep (default 1,4,16), steps (timed rounds, default 128);
-// threads caps the pool (0 = hardware). scatter=direct|single|two|auto
-// forces the forward-loop scatter strategy (A/B tool; results are
-// bit-identical across modes). counters=true adds perf-counter columns
-// (cycles / LLC misses / dTLB misses per forwarded token) when
+// threads caps the pool (0 = hardware). counters=true adds perf-counter
+// columns (cycles / LLC misses / dTLB misses per forwarded token) when
 // perf_event_open works, "n/a" where it is denied. baseline-sps=X pins the
 // speedup denominator to a steps/sec value from an earlier row, so stitched
 // single-row runs (one process per row, e.g. the n=1M rows) carry real
@@ -35,15 +33,6 @@ namespace {
 
 using namespace churnstore::bench;
 
-ScatterMode parse_scatter(const std::string& name) {
-  if (name == "auto") return ScatterMode::kAuto;
-  if (name == "direct") return ScatterMode::kDirect;
-  if (name == "single") return ScatterMode::kWcSingle;
-  if (name == "two") return ScatterMode::kWcTwoLevel;
-  throw std::invalid_argument(
-      "soup_step: scatter= must be auto|direct|single|two");
-}
-
 CHURNSTORE_SCENARIO(soup_step,
                     "M2: sharded soup-step throughput (S sweep, "
                     "BENCH_soup_step.json baseline)") {
@@ -51,7 +40,6 @@ CHURNSTORE_SCENARIO(soup_step,
   if (!cli.has("n")) base.ns = {4096, 16384};
   const auto steps =
       static_cast<std::uint32_t>(cli.get_int("steps", 128));
-  const ScatterMode scatter = parse_scatter(cli.get("scatter", "auto"));
   const bool want_counters = cli.get_bool("counters", false);
   const double pinned_baseline = cli.get_double("baseline-sps", 0.0);
   // Big-n memory guard: the steady state holds ~ n * walks * length tokens
@@ -79,7 +67,6 @@ CHURNSTORE_SCENARIO(soup_step,
     base.walk.t_mult = 0.75;
     base.walk.window_mult = 1.0;
   }
-  base.walk.scatter = scatter;
 
   banner(base, "M2 soup_step — sharded soup-step throughput",
          "steady-state token moves per second vs shard count; >= 2x at 4+ "

@@ -10,6 +10,12 @@
 #                               # (build-asan/, leak/lifetime checks on the
 #                               # arena-backed containers: SmallVec spill,
 #                               # sample cohorts, token queues, lanes)
+#   scripts/check.sh --release  # Release configure (-O3 -DNDEBUG) with
+#                               # warnings as errors + the tier-1 suite in
+#                               # build-release/: warnings that only fire
+#                               # at full optimization (GCC's -Wrestrict
+#                               # false positives) fail here, not in a
+#                               # user's Release build
 #   scripts/check.sh --smoke    # run EVERY registered scenario once at tiny
 #                               # n (<= 2k, trials=1) so a scenario that
 #                               # crashes or rejects its own spec fails CI,
@@ -26,6 +32,7 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 TSAN=0
 ASAN=0
+RELEASE=0
 SMOKE=0
 LINT=0
 if [[ "${1:-}" == "--tsan" ]]; then
@@ -33,6 +40,9 @@ if [[ "${1:-}" == "--tsan" ]]; then
   shift
 elif [[ "${1:-}" == "--asan" ]]; then
   ASAN=1
+  shift
+elif [[ "${1:-}" == "--release" ]]; then
+  RELEASE=1
   shift
 elif [[ "${1:-}" == "--smoke" ]]; then
   SMOKE=1
@@ -134,6 +144,19 @@ if [[ "$LINT" == "1" ]]; then
     --compile-commands="$BUILD_DIR"/compile_commands.json src bench tests
   echo
   echo "check.sh --lint: shardcheck clean (0 unsuppressed diagnostics)"
+  exit 0
+fi
+
+if [[ "$RELEASE" == "1" ]]; then
+  # Release + -Werror: the default build type is RelWithDebInfo (-O2), so
+  # diagnostics that need -O3 inlining to fire are only caught here.
+  BUILD_DIR="${BUILD_DIR:-build-release}"
+  cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
+    -DCMAKE_BUILD_TYPE=Release -DCHURNSTORE_WARNINGS_AS_ERRORS=ON
+  cmake --build "$BUILD_DIR" -j "$JOBS"
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+  echo
+  echo "check.sh --release: Release build (warnings as errors) + tests green"
   exit 0
 fi
 

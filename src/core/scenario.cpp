@@ -52,7 +52,7 @@ std::set<std::string>& extra_key_registry() {
   static std::set<std::string> keys = {
       // scenario knobs
       "baseline-sps", "counters", "horizon-taus", "measure-rounds", "periods",
-      "probes", "scatter", "shard-sweep", "steps",
+      "probes", "shard-sweep", "steps",
       // observability (obs/export.h)
       "obs", "obs-file", "obs-host", "trace-sample",
       // stack knobs (core/stacks.cpp builders)

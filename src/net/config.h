@@ -62,18 +62,6 @@ struct SimConfig {
   std::uint32_t shards = 1;
 };
 
-/// How TokenSoup's phase-1 forward loop routes emissions into the
-/// per-(src shard, dst page) handoff buckets. Pure execution detail:
-/// every mode produces byte-identical bucket contents (and therefore
-/// bit-identical results); the knob exists for A/B measurement and for
-/// forcing the two-level path in tests.
-enum class ScatterMode : std::uint8_t {
-  kAuto = 0,     ///< pick by page count at attach (the default)
-  kDirect,       ///< push straight to bucket tails (pre-PR-8 behavior)
-  kWcSingle,     ///< one write-combining table over the final buckets
-  kWcTwoLevel,   ///< coarse WC runs first, then per-run WC scatter
-};
-
 struct WalkConfig {
   /// Walks started per node per round = max(1, round(rate_mult * ln n)).
   /// Paper: alpha * log n.
@@ -92,8 +80,6 @@ struct WalkConfig {
   double cap_mult = 0.0;
   /// Sample retention window in rounds = window_mult * tau.
   double window_mult = 2.5;
-  /// Forward-loop scatter strategy (execution detail; results identical).
-  ScatterMode scatter = ScatterMode::kAuto;
 };
 
 struct ProtocolConfig {

@@ -12,13 +12,13 @@
 // bucket tail — one line-sized burst per 8/16/32 tokens instead of three
 // touches per token.
 //
-// Full-line writes optionally use non-temporal stores (CHURNSTORE_NT_STORES,
-// on by default via CMake): the bucket tails are not re-read until a later
-// phase, so bypassing the cache skips the RFO read entirely. The fallback is
-// plain memcpy (which the compiler lowers to ordinary vector moves). After
-// an NT epilogue the caller's flush_all() issues one sfence; the engine's
-// pool barrier would also order the stores, but the fence makes the handoff
-// self-contained.
+// Full lines are written with non-temporal stores wherever SSE2 exists: the
+// bucket tails are not re-read until a later phase, so bypassing the cache
+// skips the RFO read entirely (measured: without streaming, staging loses to
+// direct pushes — EXPERIMENTS.md "Scatter modes re-measured"). Targets
+// without SSE2 fall back to plain memcpy. flush_all() ends with one sfence;
+// the engine's pool barrier would also order the stores, but the fence
+// makes the handoff self-contained.
 //
 // Determinism contract: per-bucket element order under WC buffering is
 // byte-identical to direct push_back order — elements enter the staging
@@ -40,24 +40,16 @@
 #include <cstring>
 #include <vector>
 
-#if defined(CHURNSTORE_NT_STORES) && defined(__SSE2__)
+#if defined(__SSE2__)
 #include <emmintrin.h>
-#define CHURNSTORE_WC_NT 1
-#else
-#define CHURNSTORE_WC_NT 0
 #endif
 
 namespace churnstore {
 
-/// One full cache line, plain stores (lowered to vector moves).
-inline void wc_copy_line(std::byte* dst, const std::byte* line) noexcept {
-  std::memcpy(dst, line, 64);
-}
-
-/// One full cache line, non-temporal when the toggle + SSE2 are available
-/// (dst must be 16-byte aligned — the WC alignment contract gives 64).
+/// One full cache line, non-temporal where SSE2 is available (dst must be
+/// 16-byte aligned — the WC alignment contract gives 64).
 inline void wc_stream_line(std::byte* dst, const std::byte* line) noexcept {
-#if CHURNSTORE_WC_NT
+#if defined(__SSE2__)
   auto* d = reinterpret_cast<__m128i*>(dst);
   const auto* s = reinterpret_cast<const __m128i*>(line);
   _mm_stream_si128(d + 0, _mm_load_si128(s + 0));
@@ -72,7 +64,7 @@ inline void wc_stream_line(std::byte* dst, const std::byte* line) noexcept {
 /// Orders prior non-temporal stores before subsequent reads (no-op in the
 /// memcpy fallback).
 inline void wc_stream_fence() noexcept {
-#if CHURNSTORE_WC_NT
+#if defined(__SSE2__)
   _mm_sfence();
 #endif
 }
@@ -80,14 +72,12 @@ inline void wc_stream_fence() noexcept {
 /// Write-combining front end for a contiguous array of SoA buckets with the
 /// engine's token record shape: (u64 src, u32 dst, u16 meta). Hard-coding
 /// the shape keeps push() at three masked stores — the hot loop runs this
-/// tens of millions of times per round. kNonTemporal selects streaming
-/// full-line flushes; use `false` for buckets that are re-read immediately
-/// (two-level runs) and `true` for buckets read a phase later (final
-/// handoff buckets).
+/// tens of millions of times per round. Full-line flushes stream past the
+/// cache, so the fronted buckets should not be re-read before a later phase.
 ///
 /// Not thread-safe: one WcScatter per shard, touched only by that shard's
 /// task — the same contract as the buckets it fronts.
-template <class Bucket, bool kNonTemporal = false>
+template <class Bucket>
 class WcScatter {
  public:
   /// Line quanta per column: 8 x u64 / 16 x u32 / 32 x u16 fill 64 bytes.
@@ -156,21 +146,13 @@ class WcScatter {
       bk.wc_commit(n);
       counts_[b] = 0;
     }
-    if constexpr (kNonTemporal) wc_stream_fence();
+    wc_stream_fence();
   }
 
  private:
   struct Slot {
     alignas(64) std::byte line[3][64];
   };
-
-  static void store_line(std::byte* dst, const std::byte* line) noexcept {
-    if constexpr (kNonTemporal) {
-      wc_stream_line(dst, line);
-    } else {
-      wc_copy_line(dst, line);
-    }
-  }
 
   /// Write the just-completed col-0 line (and col-1/col-2 lines when their
   /// larger quanta also completed) to the bucket tails. n is a multiple of 8.
@@ -180,18 +162,18 @@ class WcScatter {
     assert((reinterpret_cast<std::uintptr_t>(bk.src()) & 63) == 0 &&
            "WC bucket block must be 64-byte aligned");
     Slot& sl = slots_[b];
-    store_line(reinterpret_cast<std::byte*>(bk.src()) +
-                   std::size_t{n - kLine0} * 8,
-               sl.line[0]);
+    wc_stream_line(reinterpret_cast<std::byte*>(bk.src()) +
+                       std::size_t{n - kLine0} * 8,
+                   sl.line[0]);
     if ((n & (kLine1 - 1)) == 0) {
-      store_line(reinterpret_cast<std::byte*>(bk.dst()) +
-                     std::size_t{n - kLine1} * 4,
-                 sl.line[1]);
+      wc_stream_line(reinterpret_cast<std::byte*>(bk.dst()) +
+                         std::size_t{n - kLine1} * 4,
+                     sl.line[1]);
     }
     if ((n & (kLine2 - 1)) == 0) {
-      store_line(reinterpret_cast<std::byte*>(bk.meta()) +
-                     std::size_t{n - kLine2} * 2,
-                 sl.line[2]);
+      wc_stream_line(reinterpret_cast<std::byte*>(bk.meta()) +
+                         std::size_t{n - kLine2} * 2,
+                     sl.line[2]);
     }
   }
 

@@ -12,26 +12,6 @@ namespace churnstore {
 namespace {
 /// Bits a node processes to forward one token: source id + hop counter.
 constexpr std::uint64_t kTokenBits = 64 + 16;
-/// Scatter-mode auto thresholds (by destination page count, a pure function
-/// of n and the walk config — never of the shard count, so every shards=S
-/// run of the same workload picks the same mode and stays bit-identical).
-/// With <= kDirectMaxPages the bucket tails fit in a handful of lines and
-/// staging is pure overhead; up to kWcSingleMaxPages one WC table
-/// (3 lines + count per page, ~200 B each) stays L2-resident. Both cut
-/// points are measured, not theoretical: on the baseline host single-level
-/// WC with non-temporal flushes wins ~+20% at 64 pages (n=16k) and ties
-/// direct at ~1000 pages (n=1M, 188 KB table), so single carries the whole
-/// measurable range and two-level is the memory-bounded fallback for page
-/// counts whose WC table would genuinely thrash (beyond what this host can
-/// hold; forcing two-level inside the measured range costs ~15%).
-constexpr std::uint32_t kDirectMaxPages = 4;
-constexpr std::uint32_t kWcSingleMaxPages = 2048;
-/// Two-level sizing: at most kMaxRuns coarse runs per shard (the run WC
-/// table must be L1-resident), and source chunks sized so one chunk's run
-/// contents (~kRunWindowBytes) stay cache-resident for the immediate
-/// re-read in scatter_runs_to_final.
-constexpr std::uint32_t kMaxRuns = 48;
-constexpr std::uint64_t kRunWindowBytes = std::uint64_t{6} << 20;
 }  // namespace
 
 // The heap fallback matches the arena's line alignment so the WC contract
@@ -190,48 +170,13 @@ void TokenSoup::on_attach(Network& net_ref) {
   fwd_count_.assign(n, 0);
   draws_.assign(shards, std::vector<std::uint32_t>(cap_));
   alive_.assign(shards, 0);
-  // Scatter mode: resolved from the page count alone (shard-independent, so
-  // S-invariance cannot depend on it). The WC front ends point into moves_
-  // and runs_, which never reallocate after attach.
-  mode_ = config_.scatter;
-  if (mode_ == ScatterMode::kAuto) {
-    mode_ = pages_ <= kDirectMaxPages    ? ScatterMode::kDirect
-            : pages_ <= kWcSingleMaxPages ? ScatterMode::kWcSingle
-                                          : ScatterMode::kWcTwoLevel;
-  }
-  runs_.clear();
-  fwc_.clear();
-  rwc_.clear();
-  run_shift_ = 0;
-  runs_n_ = 0;
-  chunk_ = 0;
-  if (mode_ == ScatterMode::kWcSingle || mode_ == ScatterMode::kWcTwoLevel) {
-    fwc_.resize(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      fwc_[s].attach(moves_.data() + static_cast<std::size_t>(s) * pages_,
-                     pages_);
-    }
-  }
-  if (mode_ == ScatterMode::kWcTwoLevel) {
-    while ((((pages_ - 1) >> run_shift_) + 1) > kMaxRuns) ++run_shift_;
-    runs_n_ = ((pages_ - 1) >> run_shift_) + 1;
-    runs_.reserve(static_cast<std::size_t>(shards) * runs_n_);
-    for (std::uint32_t src = 0; src < shards; ++src) {
-      for (std::uint32_t r = 0; r < runs_n_; ++r) {
-        runs_.emplace_back(&net().shard_arena(src));
-      }
-    }
-    const std::uint64_t emit_bytes_per_vertex =
-        std::max<std::uint64_t>(std::uint64_t{walks_} * length_ *
-                                    HandoffBucket::kTokenBytes,
-                                1);
-    chunk_ = static_cast<Vertex>(std::max<std::uint64_t>(
-        kRunWindowBytes / emit_bytes_per_vertex, 1));
-    rwc_.resize(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      rwc_[s].attach(runs_.data() + static_cast<std::size_t>(s) * runs_n_,
-                     runs_n_);
-    }
+  // The WC front ends point into moves_, which never reallocates after
+  // attach.
+  wc_.clear();
+  wc_.resize(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    wc_[s].attach(moves_.data() + static_cast<std::size_t>(s) * pages_,
+                   pages_);
   }
 }
 
@@ -277,15 +222,20 @@ void TokenSoup::on_round_begin() {
 // next_below loop, so trajectories are bit-identical), the neighbor row
 // base pointer and degree are hoisted, and the loop body reads the two
 // token columns as flat streams. The only branch that matters is the
-// completion check (taken once per walk_length forwards).
-// shardcheck:sharded-hook(phase-1 forward core; runs on shard s's task from on_round_begin(s))
-template <class EmitMove, class EmitDone>
-void TokenSoup::forward_range(std::uint32_t s, Vertex v0, Vertex v1,
-                              EmitMove&& emit_move, EmitDone&& emit_done) {
+// completion check (taken once per walk_length forwards). Handoffs go
+// through the shard's write-combining table (wc_[s]); flush_all()
+// publishes the partial lines and bucket sizes at the end.
+void TokenSoup::on_round_begin(std::uint32_t s, ShardContext& ctx) {
+  (void)ctx;  // tokens hand off through moves_/arrivals_, not messages
+  const ShardPlan& plan = net().shards();
+  const Vertex v0 = plan.begin(s);
+  const Vertex v1 = plan.end(s);
   const RegularGraph& g = net().graph();
   const std::uint32_t d = g.degree();
+  const std::uint32_t page_shift = page_shift_;
   ShardCounters& counters = counters_[s];
   std::uint32_t* draws = draws_[s].data();
+  auto& wc = wc_[s];
   const std::uint16_t spawn_meta = pack_meta(length_, /*probe=*/false);
   for (Vertex v = v0; v < v1; ++v) {
     TokenQueue& q = cur_[v];
@@ -315,121 +265,28 @@ void TokenSoup::forward_range(std::uint32_t s, Vertex v0, Vertex v1,
           if (meta & kProbeBit) {
             probes_[s].push_back(ProbeDone{src, u});
           } else {
-            emit_done(src, u);
+            arrivals_.stage(s, u >> page_shift, u, src);
           }
         } else {
-          emit_move(src, u, static_cast<std::uint16_t>(meta));
+          wc.push(u >> page_shift, src, u, static_cast<std::uint16_t>(meta));
         }
       }
     }
     if (fwd < size) {
       // Cap-delayed tokens stay at v: route them through v's own page
       // bucket so the merge interleaves them at v's canonical source
-      // position (identical queue order for every shard count). Their
-      // meta is undecremented, hence always >= 2 — never mistakable for
-      // a completion when riding the two-level runs.
+      // position (identical queue order for every shard count).
       counters.queued += size - fwd;
       const std::uint64_t* srcs = q.src();
       const std::uint16_t* metas = q.meta();
       for (std::size_t j = fwd; j < size; ++j) {
-        emit_move(srcs[j], v, metas[j]);
+        wc.push(v >> page_shift, srcs[j], v, metas[j]);
       }
     }
     fwd_count_[v] = static_cast<std::uint32_t>(fwd);
     q.clear();
   }
-}
-
-// shardcheck:sharded-hook(two-level pass B; runs on shard s's task from on_round_begin(s))
-void TokenSoup::scatter_runs_to_final(std::uint32_t s) {
-  HandoffBucket* runs = runs_.data() + static_cast<std::size_t>(s) * runs_n_;
-  auto& fwc = fwc_[s];
-  const std::uint32_t page_shift = page_shift_;
-  for (std::uint32_t r = 0; r < runs_n_; ++r) {
-    HandoffBucket& run = runs[r];
-    const std::size_t m = run.size();
-    const std::uint64_t* rsrc = run.src();
-    const Vertex* rdst = run.dst();
-    const std::uint16_t* rmeta = run.meta();
-    // A run covers <= 2^run_shift_ consecutive pages, so this sequential
-    // scan feeds the final WC table with at most that many active
-    // streams — cache-resident by construction. Scan order equals
-    // emission order, so each final bucket receives exactly the
-    // sequence a direct push would have produced.
-    for (std::size_t i = 0; i < m; ++i) {
-      const Vertex u = rdst[i];
-      const std::uint16_t meta = rmeta[i];
-      if (meta < 2) {
-        arrivals_.stage(s, u >> page_shift, u, rsrc[i]);
-      } else {
-        fwc.push(u >> page_shift, rsrc[i], u, meta);
-      }
-    }
-    run.clear();
-  }
-}
-
-void TokenSoup::on_round_begin(std::uint32_t s, ShardContext& ctx) {
-  (void)ctx;  // tokens hand off through moves_/arrivals_, not messages
-  const ShardPlan& plan = net().shards();
-  const Vertex v0 = plan.begin(s);
-  const Vertex v1 = plan.end(s);
-  const std::uint32_t page_shift = page_shift_;
-  HandoffBucket* mv = moves_.data() + static_cast<std::size_t>(s) * pages_;
-  switch (mode_) {
-    case ScatterMode::kDirect:
-      forward_range(
-          s, v0, v1,
-          [&](std::uint64_t src, Vertex u, std::uint16_t m) {
-            mv[u >> page_shift].push_back(src, u, m);
-          },
-          [&](std::uint64_t src, Vertex u) {
-            arrivals_.stage(s, u >> page_shift, u, src);
-          });
-      break;
-    case ScatterMode::kWcSingle: {
-      auto& fwc = fwc_[s];
-      forward_range(
-          s, v0, v1,
-          [&](std::uint64_t src, Vertex u, std::uint16_t m) {
-            fwc.push(u >> page_shift, src, u, m);
-          },
-          [&](std::uint64_t src, Vertex u) {
-            arrivals_.stage(s, u >> page_shift, u, src);
-          });
-      fwc.flush_all();
-      break;
-    }
-    case ScatterMode::kWcTwoLevel: {
-      // Pass A partitions emissions into a few dozen coarse runs (WC with
-      // plain stores — the runs are re-read within the chunk, so streaming
-      // past the cache would hurt); pass B demuxes each run into the final
-      // buckets / arrival staging. Source vertices go in chunks so the
-      // transient run memory stays a few MB. Non-probe completions ride
-      // the runs tagged by their meta < 2; probes complete inside
-      // forward_range as always.
-      auto& rwc = rwc_[s];
-      const std::uint32_t lvl1_shift = page_shift_ + run_shift_;
-      for (Vertex c0 = v0; c0 < v1; c0 += chunk_) {
-        const Vertex c1 = c0 + chunk_ < v1 ? c0 + chunk_ : v1;
-        forward_range(
-            s, c0, c1,
-            [&](std::uint64_t src, Vertex u, std::uint16_t m) {
-              rwc.push(u >> lvl1_shift, src, u, m);
-            },
-            [&](std::uint64_t src, Vertex u) {
-              rwc.push(u >> lvl1_shift, src, u, /*meta=*/0);
-            });
-        rwc.flush_all();
-        scatter_runs_to_final(s);
-      }
-      fwc_[s].flush_all();
-      break;
-    }
-    case ScatterMode::kAuto:
-      assert(false && "scatter mode is resolved at attach");
-      break;
-  }
+  wc.flush_all();
 }
 
 // Phase 2 (parallel over destination shards): merge the staged handoffs

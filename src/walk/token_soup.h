@@ -261,13 +261,6 @@ class TokenSoup final : public Protocol {
     }
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-    void push_back(std::uint64_t s, Vertex d, std::uint16_t m) {
-      if (size_ == cap_) grow(size_ + 1);
-      src()[size_] = s;
-      dst()[size_] = d;
-      meta()[size_] = m;
-      ++size_;
-    }
     void reserve(std::size_t k) {
       if (k > cap_) grow(k);
     }
@@ -353,47 +346,13 @@ class TokenSoup final : public Protocol {
   // shardcheck:cold-state(sized to the shard count at attach in serial context; merge_shard settles elements in place)
   std::vector<std::uint64_t> alive_;
 
-  /// --- phase-1 scatter strategy (util/wc_buffer.h) ------------------------
-  /// Resolved from config_.scatter at attach (kAuto picks by page count:
-  /// few pages -> direct pushes, a table-sized page count -> one WC layer
-  /// over the final buckets, beyond that -> two-level). Every mode yields
-  /// byte-identical bucket contents; see forward_range / on_round_begin.
-  ScatterMode mode_ = ScatterMode::kDirect;
-  /// Two-level only: coarse runs keyed by dst page group
-  /// (u >> (page_shift_ + run_shift_)), at most kMaxRuns per shard so the
-  /// run WC table stays L1-resident. [src_shard * runs_n_ + run], each from
-  /// its SOURCE shard's arena.
-  // shardcheck:arena-backed(outer vector sized at attach in serial context; run buckets draw from their source shard's arena)
-  std::vector<HandoffBucket> runs_;
-  std::uint32_t run_shift_ = 0;  ///< log2 pages per run
-  std::uint32_t runs_n_ = 0;     ///< runs covering [0, pages_)
-  /// Two-level only: source vertices are processed in chunks sized so one
-  /// chunk's run contents stay cache-resident (the runs are re-read
-  /// immediately by scatter_runs_to_final) — this bounds the transient
-  /// run memory to a few MB instead of a second copy of the whole
-  /// in-flight population.
-  Vertex chunk_ = 0;
-  /// Per-shard WC front ends. Final buckets are read a whole phase later,
-  /// so their full-line flushes stream (non-temporal when enabled); run
-  /// buckets are re-read within the chunk, so they use plain stores.
+  /// Per-shard write-combining front ends over that shard's row of moves_
+  /// (util/wc_buffer.h): phase 1 stages every handoff here and the final
+  /// bucket contents are byte-identical to direct pushes. Final buckets
+  /// are read a whole phase later, so full-line flushes stream past the
+  /// cache.
   // shardcheck:cold-state(WC tables allocated at attach in serial context; the hot path stores through pre-allocated lines)
-  std::vector<WcScatter<HandoffBucket, /*kNonTemporal=*/true>> fwc_;
-  // shardcheck:cold-state(WC tables allocated at attach in serial context; the hot path stores through pre-allocated lines)
-  std::vector<WcScatter<HandoffBucket, /*kNonTemporal=*/false>> rwc_;
-
-  /// Phase-1 forward core, shared by every scatter mode: spawns, draws,
-  /// and walks the vertex range [v0, v1), calling emit_move(src, u, meta)
-  /// for surviving handoffs (meta >= 2, already decremented; cap-delayed
-  /// leftovers keep their undecremented meta, also >= 2) and
-  /// emit_done(src, u) for non-probe completions. Probe completions and
-  /// counters are handled inside. Hook-only helper: runs on shard s's task.
-  template <class EmitMove, class EmitDone>
-  void forward_range(std::uint32_t s, Vertex v0, Vertex v1,
-                     EmitMove&& emit_move, EmitDone&& emit_done);
-  /// Two-level pass B: demux one shard's coarse runs into the final WC
-  /// table (handoffs) and the arrival staging (completions), then reset
-  /// the runs for the next chunk. Hook-only helper: runs on shard s's task.
-  void scatter_runs_to_final(std::uint32_t s);
+  std::vector<WcScatter<HandoffBucket>> wc_;
 };
 
 }  // namespace churnstore

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "core/system.h"
 #include "net/network.h"
@@ -70,11 +71,17 @@ TEST_P(HeapQuiesceSoup, SteadyStateSoupRoundsAreHeapQuiet) {
       << d.bytes << " bytes over " << kRounds << " rounds at S=" << shards;
 }
 
+/// Instance suffix "S<shards>". Built by append: GCC 12's -Wrestrict
+/// misfires on the `"S" + std::to_string(...)` temporary in Release builds.
+std::string shard_param_name(
+    const ::testing::TestParamInfo<std::uint32_t>& info) {
+  std::string name(1, 'S');
+  name.append(std::to_string(info.param));
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(Shards, HeapQuiesceSoup,
-                         ::testing::Values(1u, 16u),
-                         [](const auto& pinfo) {
-                           return "S" + std::to_string(pinfo.param);
-                         });
+                         ::testing::Values(1u, 16u), shard_param_name);
 
 TEST(HeapQuiesceTracing, InstalledAndSampledTracingStaysHeapQuiet) {
   // The PR-9 heap-quiet contract with the tracer in the loop: a bound

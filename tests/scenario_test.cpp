@@ -67,6 +67,10 @@ TEST(ScenarioSpec, UnknownKeysErrorOutWithAcceptedList) {
     EXPECT_NE(msg.find("accepted keys"), std::string::npos);
     EXPECT_NE(msg.find("shards"), std::string::npos) << msg;
   }
+  // A key from an old command line (soup_step no longer has scatter=) is
+  // rejected like a typo, never silently ignored.
+  EXPECT_THROW((void)ScenarioSpec::from_cli(Cli({"n=128", "scatter=direct"})),
+               std::invalid_argument);
   // Registered extras still parse (stack and scenario knobs).
   EXPECT_NO_THROW((void)ScenarioSpec::from_cli(
       Cli({"walkers=8", "chord-stabilize=4", "shard-sweep=1,4"})));

@@ -138,11 +138,10 @@ struct SoupRun {
   ProbeLog probes;
 };
 
-SoupRun run_soup(std::uint32_t n, std::uint32_t shards, ThreadPool* pool,
-                 const WalkConfig& walk = WalkConfig{}) {
+SoupRun run_soup(std::uint32_t n, std::uint32_t shards, ThreadPool* pool) {
   Network net(soup_config(n, shards));
   net.set_worker_pool(pool);
-  TokenSoup soup(net, walk);
+  TokenSoup soup(net, WalkConfig{});
   SoupRun run;
   soup.set_probe_hook([&run](std::uint64_t tag, Vertex dst, Round r) {
     run.probes.emplace_back(tag, dst, r);
@@ -222,46 +221,22 @@ TEST(SampleCohorts, BuffersAreBitIdenticalForSInOneThreeSixteen) {
   expect_identical(s1, s16);
 }
 
-TEST(ShardedWcScatter, EveryScatterModeIsBitIdenticalAcrossShardCounts) {
-  // The scatter strategy (direct pushes, single-level WC staging, two-level
-  // run demux) is a pure execution detail: every mode, at every shard
-  // count, serial or pooled, must reproduce the direct serial run bit for
-  // bit — samples, probe hook order, metrics, everything observable.
-  ThreadPool pool(4);
-  WalkConfig direct;
-  direct.scatter = ScatterMode::kDirect;
-  WalkConfig single;
-  single.scatter = ScatterMode::kWcSingle;
-  WalkConfig two;
-  two.scatter = ScatterMode::kWcTwoLevel;
-  const SoupRun ref = run_soup(192, 1, nullptr, direct);
-  ASSERT_GT(ref.completed, 0u);
-  ASSERT_FALSE(ref.probes.empty());
-  expect_identical(ref, run_soup(192, 1, nullptr, single));
-  expect_identical(ref, run_soup(192, 1, nullptr, two));
-  expect_identical(ref, run_soup(192, 3, &pool, two));
-  expect_identical(ref, run_soup(192, 16, &pool, two));
-}
-
-TEST(ShardedWcScatter, DenseSoupExercisesRunDemuxAndChunkingBitIdentically) {
-  // At test sizes the default density collapses two-level to one page and
-  // one chunk. A dense soup (rate_mult=5 at n=1024 -> 8 destination pages,
-  // per-shard emission volume above the chunk window) makes the run demux
-  // and the chunked source loop real: S=1 runs two chunks per round, S=3
-  // runs different chunk boundaries per shard — and chunk boundaries must
-  // be invisible, because within a (src shard, page) bucket tokens are
-  // appended in ascending source-vertex order no matter where chunks cut.
+TEST(ShardedWcScatter, DenseMultiPageSoupIsBitIdenticalAcrossShardCounts) {
+  // At test sizes the default density fits the whole soup in one
+  // destination page, so every shard's WC table has a single bucket. A
+  // dense soup (rate_mult=5 at n=1024 -> 4 destination pages of 256
+  // vertices) gives each shard a multi-bucket table whose pages straddle
+  // the S=3 shard boundaries: per-(src shard, page) staging, the epilogue
+  // flush, and the two-shard scan of a straddling page must all be
+  // invisible — serial or pooled, S=3 must reproduce S=1 bit for bit.
   ThreadPool pool(3);
-  WalkConfig dense_direct;
-  dense_direct.rate_mult = 5.0;
-  dense_direct.scatter = ScatterMode::kDirect;
-  WalkConfig dense_two = dense_direct;
-  dense_two.scatter = ScatterMode::kWcTwoLevel;
+  WalkConfig dense;
+  dense.rate_mult = 5.0;
   const std::uint32_t n = 1024;
-  auto run = [&](std::uint32_t shards, ThreadPool* p, const WalkConfig& w) {
+  auto run = [&](std::uint32_t shards, ThreadPool* p) {
     Network net(soup_config(n, shards));
     net.set_worker_pool(p);
-    TokenSoup soup(net, w);
+    TokenSoup soup(net, dense);
     SoupRun out;
     const std::uint32_t rounds = soup.tau() + 4;
     for (std::uint32_t i = 0; i < rounds; ++i) {
@@ -281,10 +256,10 @@ TEST(ShardedWcScatter, DenseSoupExercisesRunDemuxAndChunkingBitIdentically) {
     out.max_bits = net.metrics().max_bits_per_node_round();
     return out;
   };
-  const SoupRun ref = run(1, nullptr, dense_direct);
+  const SoupRun ref = run(1, nullptr);
   ASSERT_GT(ref.completed, 0u);
-  expect_identical(ref, run(1, nullptr, dense_two));
-  expect_identical(ref, run(3, &pool, dense_two));
+  expect_identical(ref, run(3, nullptr));
+  expect_identical(ref, run(3, &pool));
 }
 
 TEST(ShardedOutbox, LanesMergeInCanonicalOrderAndChargeSenders) {

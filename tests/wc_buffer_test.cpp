@@ -1,11 +1,11 @@
 // util/wc_buffer.h — software write-combining for the radix scatter.
 //
 // The contract under test is byte-identity: per-bucket element order with
-// WC buffering (full-line spills, partial-line epilogue, mid-stream
-// growth, and the two-level run/demux composition) must equal direct
-// push_back order over adversarial synthetic streams. This is what lets
-// TokenSoup swap scatter strategies without moving a single golden
-// baseline.
+// WC buffering (streaming full-line spills, partial-line epilogue,
+// mid-stream growth) must equal direct push_back order over adversarial
+// synthetic streams. The direct pushes are the reference: TokenSoup's
+// handoff buckets must read exactly as if every token had been appended
+// one at a time, so the staging never moves a golden baseline.
 #include "util/wc_buffer.h"
 
 #include <gtest/gtest.h>
@@ -147,34 +147,49 @@ void expect_buckets_identical(const std::vector<TestBucket>& got,
   }
 }
 
-template <bool kNonTemporal>
-void run_single_level_identity(std::uint32_t buckets, std::uint32_t count,
-                               std::uint64_t salt) {
-  const std::vector<Record> stream = adversarial_stream(buckets, count, salt);
-  std::vector<TestBucket> direct(buckets);
-  std::vector<TestBucket> wc(buckets);
-  WcScatter<TestBucket, kNonTemporal> scatter;
-  scatter.attach(wc.data(), buckets);
-  for (const Record& r : stream) {
-    direct[r.bucket].push_back(r.src, r.dst, r.meta);
-    scatter.push(r.bucket, r.src, r.dst, r.meta);
-  }
-  scatter.flush_all();
-  expect_buckets_identical(wc, direct);
-}
-
 TEST(WcScatter, ByteIdenticalToDirectPushesOverAdversarialStreams) {
+  // Full lines are flushed with non-temporal stores (memcpy on targets
+  // without SSE2); either way the columns must match direct pushes.
   for (std::uint64_t salt = 1; salt <= 8; ++salt) {
-    run_single_level_identity<false>(/*buckets=*/37, /*count=*/20000, salt);
+    const std::uint32_t buckets = 37;
+    const std::vector<Record> stream = adversarial_stream(buckets, 20000, salt);
+    std::vector<TestBucket> direct(buckets);
+    std::vector<TestBucket> wc(buckets);
+    WcScatter<TestBucket> scatter;
+    scatter.attach(wc.data(), buckets);
+    for (const Record& r : stream) {
+      direct[r.bucket].push_back(r.src, r.dst, r.meta);
+      scatter.push(r.bucket, r.src, r.dst, r.meta);
+    }
+    scatter.flush_all();
+    expect_buckets_identical(wc, direct);
   }
 }
 
 TEST(WcScatter, NonTemporalFlushesAreByteIdenticalToo) {
-  // With CHURNSTORE_NT_STORES off this collapses to the memcpy path —
-  // still a valid identity check, just redundant with the test above.
-  for (std::uint64_t salt = 1; salt <= 8; ++salt) {
-    run_single_level_identity<true>(/*buckets=*/37, /*count=*/20000, salt);
+  // The line primitive under every spill: after the fence, a streamed line
+  // must read back exactly as a memcpy of the same line would, at every
+  // 64-byte-aligned offset, without touching the bytes around it.
+  constexpr std::size_t kLines = 96;
+  auto* dst = static_cast<std::byte*>(
+      ::operator new(kLines * 64, std::align_val_t{64}));
+  std::vector<std::byte> want(kLines * 64, std::byte{0xee});
+  std::memset(dst, 0xee, kLines * 64);
+  alignas(64) std::byte line[64];
+  std::uint64_t v = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t i = 0; i < kLines; i += 1 + (i % 3)) {
+    for (auto& byte : line) {
+      v ^= v << 13;
+      v ^= v >> 7;
+      v ^= v << 17;
+      byte = static_cast<std::byte>(v);
+    }
+    wc_stream_line(dst + i * 64, line);
+    std::memcpy(want.data() + i * 64, line, 64);
   }
+  wc_stream_fence();
+  EXPECT_EQ(std::memcmp(dst, want.data(), kLines * 64), 0);
+  ::operator delete(dst, std::align_val_t{64});
 }
 
 TEST(WcScatter, PartialLinesAndEpilogueFlushEveryResidue) {
@@ -186,7 +201,7 @@ TEST(WcScatter, PartialLinesAndEpilogueFlushEveryResidue) {
   const std::uint32_t buckets = std::size(counts);
   std::vector<TestBucket> direct(buckets);
   std::vector<TestBucket> wc(buckets);
-  WcScatter<TestBucket, false> scatter;
+  WcScatter<TestBucket> scatter;
   scatter.attach(wc.data(), buckets);
   std::uint64_t v = 0;
   for (std::uint32_t b = 0; b < buckets; ++b) {
@@ -214,7 +229,7 @@ TEST(WcScatter, ReusableAcrossPhasesAfterClear) {
   const std::uint32_t buckets = 5;
   std::vector<TestBucket> direct(buckets);
   std::vector<TestBucket> wc(buckets);
-  WcScatter<TestBucket, false> scatter;
+  WcScatter<TestBucket> scatter;
   scatter.attach(wc.data(), buckets);
   for (int phase = 0; phase < 3; ++phase) {
     for (auto& b : direct) b.clear();
@@ -230,70 +245,12 @@ TEST(WcScatter, ReusableAcrossPhasesAfterClear) {
   }
 }
 
-TEST(WcScatter, TwoLevelRunDemuxPreservesFinalBucketOrder) {
-  // The TokenSoup composition: emissions go into a few coarse WC runs
-  // (final bucket index >> run_shift), each chunk's runs are flushed and
-  // demuxed in run-scan order into the final WC table, and the final
-  // table flushes once at the end. Per-final-bucket order must equal
-  // direct pushes — including across chunk boundaries.
-  const std::uint32_t finals = 48;
-  const std::uint32_t run_shift = 3;  // 6 runs of 8 final buckets
-  const std::uint32_t runs_n = ((finals - 1) >> run_shift) + 1;
-  std::vector<TestBucket> direct(finals);
-  std::vector<TestBucket> final_wc(finals);
-  std::vector<TestBucket> runs(runs_n);
-  WcScatter<TestBucket, false> rwc;
-  WcScatter<TestBucket, true> fwc;
-  rwc.attach(runs.data(), runs_n);
-  fwc.attach(final_wc.data(), finals);
-
-  const auto stream = adversarial_stream(finals, 50000, /*salt=*/77);
-  const std::size_t chunk = 1237;  // deliberately not line- or run-aligned
-  for (std::size_t c0 = 0; c0 < stream.size(); c0 += chunk) {
-    const std::size_t c1 = std::min(stream.size(), c0 + chunk);
-    for (std::size_t i = c0; i < c1; ++i) {
-      const Record& r = stream[i];
-      direct[r.bucket].push_back(r.src, r.dst, r.meta);
-      // Pass A: the run index rides the record; dst carries the final
-      // bucket in the low bits here (the engine derives it from the
-      // destination vertex instead).
-      rwc.push(r.bucket >> run_shift, r.src, r.dst, r.meta);
-    }
-    rwc.flush_all();
-    // Pass B: demux each run in scan order. The final bucket index must
-    // be recomputed exactly as pass A computed the run index, so recover
-    // it from the record stream position — the engine recomputes it from
-    // the dst vertex. Here we replay the slice to keep the harness honest
-    // about order only coming from the run scan.
-    std::vector<std::size_t> cursor(runs_n, 0);
-    for (std::size_t i = c0; i < c1; ++i) {
-      const std::uint32_t run = stream[i].bucket >> run_shift;
-      ++cursor[run];
-    }
-    for (std::uint32_t r = 0; r < runs_n; ++r) {
-      const TestBucket& run = runs[r];
-      ASSERT_EQ(run.size(), cursor[r]) << "run " << r;
-      // Rebuild final indices for this run's records in stream order.
-      std::size_t k = 0;
-      for (std::size_t i = c0; i < c1; ++i) {
-        if (stream[i].bucket >> run_shift != r) continue;
-        EXPECT_EQ(run.src()[k], stream[i].src);
-        fwc.push(stream[i].bucket, run.src()[k], run.dst()[k], run.meta()[k]);
-        ++k;
-      }
-    }
-    for (auto& b : runs) b.clear();
-  }
-  fwc.flush_all();
-  expect_buckets_identical(final_wc, direct);
-}
-
 TEST(WcScatter, GrowthUnderStagingKeepsCommittedLines) {
   // Force many mid-stream growths of a single hot bucket: committed lines
   // written past size_ must survive wc_reserve's reallocation.
   TestBucket direct;
   std::vector<TestBucket> wc(1);
-  WcScatter<TestBucket, false> scatter;
+  WcScatter<TestBucket> scatter;
   scatter.attach(wc.data(), 1);
   for (std::uint64_t v = 0; v < 5000; ++v) {
     direct.push_back(v, static_cast<std::uint32_t>(v ^ 0xabcd),
