@@ -74,7 +74,8 @@ int main(int argc, char** argv) {
               100.0 * rep.zero_fraction);
 
   // Show what an application sees: one node's sample buffer.
-  const auto samples = soup.samples(0).recent_distinct(8);
+  std::vector<PeerId> samples;
+  soup.samples(0).recent_distinct(8, {}, samples);
   std::printf("\nnode 0's most recent distinct peer samples:");
   for (const PeerId p : samples)
     std::printf(" %llu", static_cast<unsigned long long>(p));

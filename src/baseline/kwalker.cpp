@@ -39,7 +39,8 @@ std::size_t KWalkerSearch::store(Vertex creator, ItemId item) {
           ? options_.replication
           : static_cast<std::uint32_t>(
                 std::ceil(std::sqrt(static_cast<double>(net().n()))));
-  const auto targets = soup_.samples(creator).recent_distinct(want);
+  std::vector<PeerId> targets;
+  soup_.samples(creator).recent_distinct(want, {}, targets);
   if (targets.size() < std::max<std::size_t>(1, want / 2)) return 0;
   const PeerId self = net().peer_at(creator);
   for (const PeerId t : targets) {

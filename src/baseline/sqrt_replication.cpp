@@ -54,7 +54,8 @@ std::size_t SqrtReplication::store(Vertex creator, ItemId item) {
   const double n = static_cast<double>(net().n());
   const auto want = static_cast<std::size_t>(
       std::ceil(options_.replication_mult * std::sqrt(n * std::log(n))));
-  const auto targets = soup_.samples(creator).recent_distinct(want);
+  std::vector<PeerId> targets;
+  soup_.samples(creator).recent_distinct(want, {}, targets);
   if (targets.size() < want / 2 || targets.empty()) return 0;
   const PeerId self = net().peer_at(creator);
   for (const PeerId t : targets) {

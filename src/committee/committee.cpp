@@ -125,11 +125,16 @@ std::vector<PeerId> CommitteeManager::pick_sources(Vertex v, Round anchor,
     }
   }
   if (out.size() < want) {
-    const auto extra = soup_.samples(v).recent_distinct(want, out);
-    for (const PeerId p : extra) {
-      if (out.size() >= want) break;
-      if (p != kNoPeer && p != self) out.push_back(p);
-    }
+    // Top up from the most recent distinct sources not already picked,
+    // minus the sentinel and self, capped at `want`.
+    const auto base = static_cast<std::ptrdiff_t>(out.size());
+    soup_.samples(v).recent_distinct(want, {}, out);
+    out.erase(std::remove_if(out.begin() + base, out.end(),
+                             [self](PeerId p) {
+                               return p == kNoPeer || p == self;
+                             }),
+              out.end());
+    if (out.size() > want) out.resize(want);
   }
   return out;
 }

@@ -94,21 +94,21 @@ void SearchManager::finish(std::uint64_t sid) {
 
 void SearchManager::reply_if_holder(Vertex v, ItemId item, std::uint64_t sid,
                                     PeerId to, ShardContext& ctx) {
-  const std::vector<PeerId>* holders = nullptr;
+  std::span<const PeerId> holders;
   if (const Membership* mem = committees_.membership_at(v, item);
       mem && mem->purpose == Purpose::kStorage) {
-    holders = &mem->members;
-  } else if (const LandmarkState* lm = landmarks_.state_at(v, item);
+    holders = mem->members;
+  } else if (const auto lm = landmarks_.state_at(v, item);
              lm && lm->purpose == Purpose::kStorage) {
-    holders = &lm->committee;
+    holders = lm->committee;
   }
-  if (!holders || holders->empty()) return;
+  if (holders.empty()) return;
   Message msg;
   msg.src = net().peer_at(v);
   msg.dst = to;
   msg.type = MsgType::kInquiryHit;
-  msg.words = {item, sid, holders->size()};
-  msg.words.insert(msg.words.end(), holders->begin(), holders->end());
+  msg.words = {item, sid, holders.size()};
+  msg.words.insert(msg.words.end(), holders.begin(), holders.end());
   ctx.send(v, std::move(msg));
 }
 
@@ -171,7 +171,8 @@ void SearchManager::on_round_begin() {
     // The landmark-driven inquiry fan-out happens in the sharded phase;
     // collect this search's live landmarks here (for_each_landmark also
     // lazily compacts the index).
-    landmarks_.for_each_landmark(sid, [this, sid](Vertex w, LandmarkState& lm) {
+    landmarks_.for_each_landmark(sid, [this, sid](Vertex w,
+                                                  const LandmarkState& lm) {
       if (lm.purpose == Purpose::kSearch) inquiry_jobs_.emplace_back(w, sid);
     });
 
@@ -208,8 +209,8 @@ void SearchManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
   for (auto it = lo; it != inquiry_jobs_.end() && it->first < ctx.end();
        ++it) {
     const auto [w, sid] = *it;
-    const LandmarkState* lm = landmarks_.state_at(w, sid);
-    if (lm == nullptr) continue;
+    const auto lm = landmarks_.state_at(w, sid);
+    if (!lm) continue;
     // A search landmark that itself knows the item reports immediately.
     reply_if_holder(w, lm->item, sid, lm->search_root, ctx);
     const auto& sources = soup_.samples(w).at(now - 1);
@@ -239,7 +240,7 @@ bool SearchManager::on_message(Vertex v, const Message& m,
     case MsgType::kInquiryHit: {
       // Forward to the search initiator recorded in our landmark state.
       const std::uint64_t sid = m.words[1];
-      const LandmarkState* lm = landmarks_.state_at(v, sid);
+      const auto lm = landmarks_.state_at(v, sid);
       if (!lm || lm->search_root == kNoPeer) return true;
       Message fwd;
       fwd.src = net().peer_at(v);

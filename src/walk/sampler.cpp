@@ -1,8 +1,8 @@
 #include "walk/sampler.h"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
-#include <unordered_set>
 
 namespace churnstore {
 
@@ -12,6 +12,36 @@ namespace {
 /// buffers.
 constexpr std::uint32_t kUnannouncedCap = 4;
 constexpr std::uint32_t kInitialDirectoryCap = 4;
+
+/// recent_distinct's duplicate filter: a bitmap on the stack, indexed by a
+/// Fibonacci hash of the id and sized to >= 8 bits per id it may hold
+/// (512 bits .. 64 Kbit). A clear bit proves an id unseen; a set bit (a
+/// true repeat, or a false hit at most ~1/8 of the time) sends the caller
+/// to an exact scan.
+class SeenFilter {
+ public:
+  explicit SeenFilter(std::size_t ids) noexcept {
+    while (shift_ > 64 - kMaxLog &&
+           (std::size_t{1} << (64 - shift_)) < 8 * ids) {
+      --shift_;
+    }
+    std::fill_n(words_, (std::size_t{1} << (64 - shift_)) / 64, 0);
+  }
+  /// Marks `p`; true when its bit was already set.
+  bool test_and_set(PeerId p) noexcept {
+    const std::size_t h = (p * 0x9E3779B97F4A7C15ull) >> shift_;
+    const std::uint64_t bit = std::uint64_t{1} << (h & 63);
+    const bool was = (words_[h >> 6] & bit) != 0;
+    words_[h >> 6] |= bit;
+    return was;
+  }
+
+ private:
+  static constexpr unsigned kMinLog = 9;
+  static constexpr unsigned kMaxLog = 16;
+  unsigned shift_ = 64 - kMinLog;
+  std::uint64_t words_[(std::size_t{1} << kMaxLog) / 64];
+};
 }  // namespace
 
 void SampleBuffer::set_arena(Arena* arena) noexcept {
@@ -163,20 +193,32 @@ SampleView SampleBuffer::at(Round r) const noexcept {
   return SampleView{};
 }
 
-std::vector<PeerId> SampleBuffer::recent_distinct(
-    std::size_t k, const std::vector<PeerId>& exclude) const {
-  std::vector<PeerId> out;
-  std::unordered_set<PeerId> seen(exclude.begin(), exclude.end());
+std::size_t SampleBuffer::recent_distinct(std::size_t k,
+                                          std::span<const PeerId> exclude,
+                                          std::vector<PeerId>& out) const {
+  const std::size_t base = out.size();
+  const std::size_t avail = total();
+  const std::size_t want = k == 0 ? avail : std::min(k, avail);
+  if (want == 0) return 0;
+  SeenFilter seen(exclude.size() + base + want);
+  for (const PeerId p : exclude) seen.test_and_set(p);
+  for (const PeerId p : out) seen.test_and_set(p);
+  const auto contains = [](std::span<const PeerId> ids, PeerId p) {
+    return std::find(ids.begin(), ids.end(), p) != ids.end();
+  };
   for (std::uint32_t i = gcount_; i-- > 0;) {
     const Group& g = groups()[i];
     for (std::uint32_t j = 0; j < g.size; ++j) {
       const PeerId s = g.sources[j];
-      if (!seen.insert(s).second) continue;
+      if (seen.test_and_set(s) &&
+          (contains(out, s) || contains(exclude, s))) {
+        continue;
+      }
       out.push_back(s);
-      if (k != 0 && out.size() >= k) return out;
+      if (out.size() - base == want) return want;
     }
   }
-  return out;
+  return out.size() - base;
 }
 
 std::size_t SampleBuffer::total() const noexcept {

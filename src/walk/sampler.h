@@ -88,10 +88,15 @@ class SampleBuffer {
     return at(r).size();
   }
 
-  /// Up to `k` distinct most-recent sources (newest rounds first), skipping
-  /// ids in `exclude`. Pass k = 0 for "all distinct".
-  [[nodiscard]] std::vector<PeerId> recent_distinct(
-      std::size_t k, const std::vector<PeerId>& exclude = {}) const;
+  /// Append to `out` up to `k` distinct most-recent sources (newest rounds
+  /// first) that are in neither `out` nor `exclude`; k = 0 appends every
+  /// such source. Returns the number appended. Allocation-free once `out`
+  /// has the capacity: repeats are found by scanning `out` and `exclude`
+  /// behind a stack bitmap that lets nearly every new source skip the scan,
+  /// so large k (sqrt(n)-sized replica sets) stays cheap. `exclude` must
+  /// not alias `out`.
+  std::size_t recent_distinct(std::size_t k, std::span<const PeerId> exclude,
+                              std::vector<PeerId>& out) const;
 
   [[nodiscard]] std::size_t total() const noexcept;
   [[nodiscard]] bool empty() const noexcept { return gcount_ == 0; }

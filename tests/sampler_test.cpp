@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace churnstore {
 namespace {
 
@@ -32,7 +37,8 @@ TEST(SampleBuffer, RecentDistinctNewestFirst) {
   buf.add(1, 10);
   buf.add(2, 20);
   buf.add(3, 30);
-  const auto got = buf.recent_distinct(2);
+  std::vector<PeerId> got;
+  EXPECT_EQ(buf.recent_distinct(2, {}, got), 2u);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], 30u);
   EXPECT_EQ(got[1], 20u);
@@ -44,7 +50,8 @@ TEST(SampleBuffer, RecentDistinctDeduplicates) {
   buf.add(2, 7);
   buf.add(2, 8);
   buf.add(3, 7);
-  const auto got = buf.recent_distinct(0);  // 0 = all
+  std::vector<PeerId> got;
+  buf.recent_distinct(0, {}, got);  // 0 = all
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], 7u);
   EXPECT_EQ(got[1], 8u);
@@ -55,9 +62,70 @@ TEST(SampleBuffer, RecentDistinctHonorsExclusions) {
   buf.add(1, 1);
   buf.add(1, 2);
   buf.add(1, 3);
-  const auto got = buf.recent_distinct(0, {2});
+  std::vector<PeerId> got;
+  const PeerId exclude[] = {2};
+  buf.recent_distinct(0, exclude, got);
   ASSERT_EQ(got.size(), 2u);
   for (const auto p : got) EXPECT_NE(p, 2u);
+}
+
+/// The former set-based recent_distinct: up to k distinct sources, newest
+/// rounds first, skipping `exclude` (k = 0: all).
+std::vector<PeerId> reference_recent_distinct(
+    const SampleBuffer& buf, Round first, Round last, std::size_t k,
+    const std::vector<PeerId>& exclude) {
+  std::vector<PeerId> out;
+  std::unordered_set<PeerId> seen(exclude.begin(), exclude.end());
+  for (Round r = last; r >= first; --r) {
+    for (const PeerId s : buf.at(r)) {
+      if (!seen.insert(s).second) continue;
+      out.push_back(s);
+      if (k != 0 && out.size() >= k) return out;
+    }
+  }
+  return out;
+}
+
+TEST(SampleBuffer, RecentDistinctMatchesSetReference) {
+  // Random buffers with heavy repetition (ids drawn from a small range),
+  // random k including 0 and k past the distinct count, random exclusions,
+  // and a non-empty output prefix that must act as an exclusion too.
+  Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    SampleBuffer buf;
+    const Round rounds = 1 + static_cast<Round>(rng.next_below(12));
+    const bool big = trial % 4 == 0;
+    const std::uint64_t id_range = 2 + rng.next_below(big ? 4000 : 40);
+    for (Round r = 1; r <= rounds; ++r) {
+      const std::uint64_t arrivals = rng.next_below(big ? 600 : 9);
+      for (std::uint64_t a = 0; a < arrivals; ++a) {
+        buf.add(r, 1 + rng.next_below(id_range));
+      }
+    }
+    std::vector<PeerId> exclude;
+    for (std::uint64_t e = rng.next_below(4); e > 0; --e) {
+      exclude.push_back(1 + rng.next_below(id_range));
+    }
+    std::vector<PeerId> prefix;
+    for (std::uint64_t e = rng.next_below(3); e > 0; --e) {
+      prefix.push_back(1 + rng.next_below(id_range));
+    }
+    const std::size_t k =
+        trial % 5 == 0
+            ? 0
+            : static_cast<std::size_t>(rng.next_below(2 * id_range));
+
+    std::vector<PeerId> ref_exclude = exclude;
+    ref_exclude.insert(ref_exclude.end(), prefix.begin(), prefix.end());
+    std::vector<PeerId> want = prefix;
+    const auto extra =
+        reference_recent_distinct(buf, 1, rounds, k, ref_exclude);
+    want.insert(want.end(), extra.begin(), extra.end());
+
+    std::vector<PeerId> got = prefix;
+    EXPECT_EQ(buf.recent_distinct(k, exclude, got), extra.size());
+    EXPECT_EQ(got, want) << "trial " << trial << " k=" << k;
+  }
 }
 
 TEST(SampleBuffer, ClearEmpties) {
@@ -66,7 +134,9 @@ TEST(SampleBuffer, ClearEmpties) {
   buf.clear();
   EXPECT_TRUE(buf.empty());
   EXPECT_EQ(buf.total(), 0u);
-  EXPECT_TRUE(buf.recent_distinct(5).empty());
+  std::vector<PeerId> got;
+  EXPECT_EQ(buf.recent_distinct(5, {}, got), 0u);
+  EXPECT_TRUE(got.empty());
 }
 
 TEST(SampleBuffer, AnnouncedCohortEqualsUnannouncedAdds) {

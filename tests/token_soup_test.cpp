@@ -122,7 +122,8 @@ TEST(TokenSoup, SamplesAreRecordedWithSources) {
   for (Vertex v = 0; v < 64; ++v) total += soup.samples(v).total();
   EXPECT_GT(total, 0u);
   // Every recorded source must be (or have been) a real peer id.
-  const auto recent = soup.samples(0).recent_distinct(0);
+  std::vector<PeerId> recent;
+  soup.samples(0).recent_distinct(0, {}, recent);
   for (const PeerId p : recent) EXPECT_NE(p, kNoPeer);
 }
 
